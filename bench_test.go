@@ -11,6 +11,7 @@ import (
 	"soma/internal/cocco"
 	"soma/internal/core"
 	"soma/internal/coresched"
+	"soma/internal/engine"
 	"soma/internal/exp"
 	"soma/internal/graph"
 	"soma/internal/hw"
@@ -55,16 +56,24 @@ func BenchmarkFig3Scatter(b *testing.B) {
 	}
 }
 
-// BenchmarkFig6Overall regenerates one Fig. 6 bar group (Cocco vs Ours_1 vs
-// Ours_2) on ResNet-50, edge, batch 1.
+// fig6Pair regenerates one Fig. 6 bar group (Cocco vs Ours_1 vs Ours_2) on
+// ResNet-50, edge, batch 1.
+func fig6Pair(b *testing.B) exp.PairResult {
+	grid := []exp.Fig6Grid{{Platform: "edge", Models: []string{"resnet50"}, Batches: []int{1}}}
+	rs, _, err := exp.Fig6(context.Background(), grid, fastPar(), 1, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if rs[0].Err != nil {
+		b.Fatal(rs[0].Err)
+	}
+	return rs[0]
+}
+
+// BenchmarkFig6Overall regenerates one Fig. 6 bar group.
 func BenchmarkFig6Overall(b *testing.B) {
-	c := exp.Case{Platform: "edge", Workload: "resnet50", Batch: 1}
 	for i := 0; i < b.N; i++ {
-		r := exp.RunPair(c, fastPar())
-		if r.Err != nil {
-			b.Fatal(r.Err)
-		}
-		if r.Ours2.LatencyNS > r.Cocco.LatencyNS {
+		if r := fig6Pair(b); r.Ours2.LatencyNS > r.Cocco.LatencyNS {
 			b.Fatal("SoMa lost to Cocco on its best-case workload")
 		}
 	}
@@ -73,13 +82,8 @@ func BenchmarkFig6Overall(b *testing.B) {
 // BenchmarkFig6Stats regenerates the Sec. VI-B1 fusion statistics for one
 // case (tile counts, LGs, FLGs).
 func BenchmarkFig6Stats(b *testing.B) {
-	c := exp.Case{Platform: "edge", Workload: "resnet50", Batch: 1}
 	for i := 0; i < b.N; i++ {
-		r := exp.RunPair(c, fastPar())
-		if r.Err != nil {
-			b.Fatal(r.Err)
-		}
-		if r.Cocco.Tiles <= r.Ours2.Tiles {
+		if r := fig6Pair(b); r.Cocco.Tiles <= r.Ours2.Tiles {
 			b.Fatal("Cocco must over-tile relative to SoMa")
 		}
 	}
@@ -129,8 +133,8 @@ func BenchmarkFig8Trace(b *testing.B) {
 
 // BenchmarkScenario measures one composed multi-model run: the built-in
 // multi-tenant CNN mix scheduled as a single graph plus its per-model
-// isolated baselines (the exp.RunScenario flow behind `soma -scenario` and
-// scenario jobs in somad).
+// isolated baselines (the engine.Run scenario flow behind `soma -scenario`
+// and scenario jobs in somad).
 func BenchmarkScenario(b *testing.B) {
 	sc, err := workload.Builtin("multi-tenant-cnn")
 	if err != nil {
@@ -139,8 +143,8 @@ func BenchmarkScenario(b *testing.B) {
 	par := fastPar()
 	par.Beta1, par.Beta2 = 2, 1
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunScenario(exp.ScenarioRun{Scenario: sc, Platform: "edge",
-			Obj: soma.EDP(), Par: par})
+		res, err := engine.Run(context.Background(), engine.Request{Scenario: &sc,
+			Platform: "edge", Objective: soma.EDP(), Params: par}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

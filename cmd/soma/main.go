@@ -33,8 +33,9 @@ import (
 
 	"soma/internal/core"
 	"soma/internal/coresched"
+	"soma/internal/dse"
 	"soma/internal/engine"
-	"soma/internal/exp"
+	"soma/internal/hw"
 	"soma/internal/isa"
 	"soma/internal/models"
 	"soma/internal/obs"
@@ -80,8 +81,11 @@ func main() {
 		return
 	}
 
-	cfg, err := exp.Platform(*hwName)
+	cfg, err := hw.Platform(*hwName)
 	if err != nil {
+		fatal(err)
+	}
+	if err := dse.ValidateHW(*dram, *buf); err != nil {
 		fatal(err)
 	}
 	if *dram > 0 {
@@ -90,17 +94,12 @@ func main() {
 	if *buf > 0 {
 		cfg = cfg.WithGBuf(*buf << 20)
 	}
-	par, err := soma.ProfileParams(*profile)
-	if err != nil {
-		fatal(err)
-	}
-	par.Seed = *seed
-	par.Chains = *chains
+	search := dse.Search{Profile: *profile, Chains: *chains, Beta1: *beta1, Beta2: *beta2}
 	// -workers is overloaded: a plain integer is the portfolio worker
 	// count; anything else is a cluster worker address list (sweeps only).
 	var clusterWorkers []string
 	if n, err := strconv.Atoi(strings.TrimSpace(*workers)); err == nil {
-		par.Workers = n
+		search.Workers = n
 	} else {
 		for _, a := range strings.Split(*workers, ",") {
 			if a = strings.TrimSpace(a); a != "" {
@@ -111,13 +110,12 @@ func main() {
 			fatal(fmt.Errorf("-workers wants a number or a worker address list, got %q", *workers))
 		}
 	}
-	if *beta1 > 0 {
-		par.Beta1 = *beta1
+	par, err := search.Params()
+	if err != nil {
+		fatal(err)
 	}
-	if *beta2 > 0 {
-		par.Beta2 = *beta2
-		par.Stage2MaxIters = 1 << 20
-	}
+	// Search.Seed treats 0 as "keep the profile's seed"; -seed 0 means 0.
+	par.Seed = *seed
 	obj := soma.Objective{N: *objN, M: *objM}
 	var hooks *engine.Hooks
 	if *progress {
@@ -398,17 +396,17 @@ func printScenarioReport(res *report.Result) {
 	fmt.Println(a.String())
 }
 
-// printCatalog is the -list flow, sharing exp.Registry with the somad
+// printCatalog is the -list flow, sharing engine.Registry with the somad
 // /v1/models, /v1/hw and /v1/scenarios endpoints.
 func printCatalog() {
-	cat := exp.Registry()
+	cat := engine.Registry()
 	fmt.Println("models:")
 	for _, m := range cat.Models {
 		fmt.Printf("  %s\n", m)
 	}
 	fmt.Println("platforms:")
 	for _, p := range cat.Platforms {
-		cfg, err := exp.Platform(p)
+		cfg, err := hw.Platform(p)
 		if err != nil {
 			fatal(err)
 		}

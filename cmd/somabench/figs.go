@@ -4,10 +4,11 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"sync/atomic"
+	"strings"
 
 	"soma/internal/engine"
 	"soma/internal/exp"
+	"soma/internal/hw"
 	"soma/internal/models"
 	"soma/internal/report"
 	"soma/internal/soma"
@@ -50,9 +51,8 @@ func (h *harness) fig3() error {
 		if err != nil {
 			return err
 		}
-		cfg, _ := exp.Platform("edge")
 		layers := exp.Fig3Layers(g)
-		tiles, err := exp.Fig3Tiles(g, cfg, h.par)
+		tiles, err := exp.Fig3Tiles(g, hw.Edge(), h.par)
 		if err != nil {
 			return err
 		}
@@ -89,22 +89,36 @@ func countAxisHuggers(pts []exp.ScatterPoint) int {
 	return n
 }
 
+// runFig6 runs the Fig. 6 grids on the dse worker pool, printing one
+// progress line per finished sweep point and then the hit rate of the
+// evaluation cache every sweep shares.
+func (h *harness) runFig6(grids []exp.Fig6Grid) ([]exp.PairResult, error) {
+	total := 0
+	for _, g := range grids {
+		total += 2 * len(g.Models) * len(g.Batches)
+	}
+	done := 0
+	hooks := &engine.Hooks{Event: func(e engine.Event) {
+		if e.Kind == "point-done" || e.Kind == "point-error" {
+			done++ // Hooks serializes events, so the counter needs no lock.
+			fmt.Fprintf(os.Stderr, "[fig6 %d/%d] %s %s\n", done, total, e.Component,
+				strings.TrimPrefix(e.Kind, "point-"))
+		}
+	}}
+	results, cache, err := exp.Fig6(context.Background(), grids, h.par, h.workers, hooks)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Printf("eval cache across cases: %s hit rate\n", report.HitRate(cache.Hits, cache.Misses))
+	return results, nil
+}
+
 // fig6 reproduces the overall comparison and prints the Sec. VI-B summary.
 func (h *harness) fig6(batches []int) error {
-	var cases []exp.Case
-	for _, pf := range []string{"edge", "cloud"} {
-		for _, w := range exp.Workloads(pf) {
-			for _, b := range batches {
-				cases = append(cases, exp.Case{Platform: pf, Workload: w, Batch: b})
-			}
-		}
+	results, err := h.runFig6(exp.Fig6Grids([]string{"edge", "cloud"}, batches))
+	if err != nil {
+		return err
 	}
-	var done atomic.Int32
-	results := exp.ParallelMap(cases, h.workers, func(c exp.Case) exp.PairResult {
-		r := exp.RunPair(c, h.par)
-		fmt.Fprintf(os.Stderr, "[fig6 %d/%d] %s done\n", done.Add(1), len(cases), c)
-		return r
-	})
 
 	t := report.New("Fig.6: overall comparison (energy normalized to Cocco)",
 		"case", "scheme", "norm-energy", "core-E", "dram-E", "util", "theo-max", "avg-buf", "latency")
@@ -127,13 +141,6 @@ func (h *harness) fig6(batches []int) error {
 	if err := h.emit(t, "fig6.csv"); err != nil {
 		return err
 	}
-
-	var cacheHits, cacheMisses int64
-	for _, r := range results {
-		cacheHits += r.Cache.Hits
-		cacheMisses += r.Cache.Misses
-	}
-	fmt.Printf("eval cache across cases: %s hit rate\n", report.HitRate(cacheHits, cacheMisses))
 
 	gm := exp.Summarize(results)
 	s := report.New("Sec.VI-B summary (geometric means over valid cases)",
@@ -212,13 +219,10 @@ func (h *harness) fig8(c exp.Case) error {
 
 // stats reproduces the Sec. VI-B1 fusion statistics.
 func (h *harness) stats(batches []int) error {
-	var cases []exp.Case
-	for _, w := range exp.Workloads("edge") {
-		for _, b := range batches {
-			cases = append(cases, exp.Case{Platform: "edge", Workload: w, Batch: b})
-		}
+	results, err := h.runFig6(exp.Fig6Grids([]string{"edge"}, batches))
+	if err != nil {
+		return err
 	}
-	results := exp.Fig6(cases, h.par, h.workers)
 	var cTiles, sTiles, cLGs, sLGs, sFLGs, n float64
 	t := report.New("Sec.VI-B1: fusion structure, Cocco vs SoMa (edge)",
 		"case", "cocco-tiles", "soma-tiles", "cocco-LGs", "soma-LGs", "soma-FLGs")

@@ -34,7 +34,7 @@ func main() {
 	cmd := os.Args[1]
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	profile := fs.String("profile", "default", "search profile: fast|default|paper")
-	workers := fs.Int("workers", 0, "parallel workers across cases (0 = all CPUs)")
+	workers := fs.Int("workers", 0, "parallel sweep points across cases (0 = all CPUs)")
 	chains := fs.Int("chains", 0, "portfolio chains per annealing stage (<=1 = serial)")
 	chainWorkers := fs.Int("chainworkers", 0, "goroutines per portfolio (<=1 = serial; best kept at 1 when -workers already saturates the CPUs)")
 	outDir := fs.String("out", "", "directory for CSV outputs (optional)")

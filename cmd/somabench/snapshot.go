@@ -21,6 +21,7 @@ import (
 	"soma/internal/dse"
 	"soma/internal/engine"
 	"soma/internal/exp"
+	"soma/internal/hw"
 	"soma/internal/models"
 	"soma/internal/report"
 	"soma/internal/sim"
@@ -257,7 +258,7 @@ func benchSweep() (*BenchSweep, error) {
 // precomputation and walk deterministic move sequences drawn from the same
 // seed and operator mix, so the ratio isolates the evaluator strategy.
 func (h *harness) benchCase(c exp.Case, solve bool) (BenchEntry, error) {
-	cfg, err := exp.Platform(c.Platform)
+	cfg, err := hw.Platform(c.Platform)
 	if err != nil {
 		return BenchEntry{}, err
 	}

@@ -57,6 +57,10 @@ import (
 	"soma/internal/service"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so idle or trickling connections cannot pin server goroutines.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.String("workers", "1", "concurrent search jobs (a number), or comma-separated cluster worker addresses to shard sweep jobs across")
@@ -91,7 +95,7 @@ func main() {
 		ClusterWorkers: workerList,
 		Advertise:      *advertise,
 	})
-	srv := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	srv := &http.Server{Addr: *addr, Handler: svc.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -93,7 +93,12 @@ func (e *Explorer) RunContext(ctx context.Context) (*Result, error) {
 		cfg.Journal = e.Journal.Series("cocco", 0, 0)
 	}
 	span := e.Track.Start("cocco", "cocco").Arg("iters", iters)
-	best, bestCost, stats := sa.RunMovesCtx[*core.Encoding](ctx, cfg, &coccoMoves{e: e, cur: init})
+	// Every Cocco operator is structural - it changes the Computing Order or
+	// the DRAM cut set, which re-derives the tiling and produces a different
+	// tile/tensor set - so no incremental delta applies: each proposal parses
+	// and fully evaluates a cloned encoding.
+	best, bestCost, stats := sa.Run[*core.Encoding](ctx, cfg,
+		&sa.CloneMoves[*core.Encoding]{Cur: init, Cost: e.cost, Neighbor: e.mutate})
 	span.End()
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -116,48 +121,18 @@ func (e *Explorer) RunContext(ctx context.Context) (*Result, error) {
 		Cost: m.Cost(e.Obj.N, e.Obj.M), Stats: stats}, nil
 }
 
-// coccoMoves is the baseline's sa.MoveState. Every Cocco operator is
-// structural - it changes the Computing Order or the DRAM cut set, which
-// re-derives the tiling and produces a different tile/tensor set - so no
-// incremental delta applies: each proposal parses and fully evaluates a
-// cloned encoding (the move-aware contract's documented fallback), and
-// Accept/Reject just swap or drop the clone.
-type coccoMoves struct {
-	e         *Explorer
-	cur, cand *core.Encoding
-	// kind names the operator the last productive Propose drew
-	// (sa.MoveKinder, for the convergence journal).
-	kind string
-}
-
-func (ms *coccoMoves) InitCost() float64 { return ms.cost(ms.cur) }
-
-func (ms *coccoMoves) Propose(rng *rand.Rand) (float64, bool) {
-	cand, kind, ok := ms.e.mutate(ms.cur, rng)
-	if !ok {
-		return 0, false
-	}
-	ms.cand, ms.kind = cand, kind
-	return ms.cost(cand), true
-}
-
-func (ms *coccoMoves) Accept()                  { ms.cur = ms.cand }
-func (ms *coccoMoves) Reject()                  {}
-func (ms *coccoMoves) Snapshot() *core.Encoding { return ms.cur }
-func (ms *coccoMoves) MoveKind() string         { return ms.kind }
-
 // cost parses and fully evaluates one encoding (+Inf when illegal,
 // deadlocked, or over budget).
-func (ms *coccoMoves) cost(enc *core.Encoding) float64 {
-	s, err := core.Parse(ms.e.G, enc)
+func (e *Explorer) cost(enc *core.Encoding) float64 {
+	s, err := core.Parse(e.G, enc)
 	if err != nil {
 		return math.Inf(1)
 	}
-	m, err := sim.Evaluate(s, ms.e.CS, sim.Options{})
+	m, err := sim.Evaluate(s, e.CS, sim.Options{})
 	if err != nil || !m.BufferOK {
 		return math.Inf(1)
 	}
-	return m.Cost(ms.e.Obj.N, ms.e.Obj.M)
+	return m.Cost(e.Obj.N, e.Obj.M)
 }
 
 // mutate applies one Cocco operator: move a layer, or toggle a DRAM cut

@@ -169,11 +169,15 @@ func ParseSweep(data []byte) (Sweep, error) {
 }
 
 // Params resolves the block into soma.Params: profile lookup, then the
-// per-field overrides, including the CLI's Beta2 > 0 -> uncapped stage-2
-// iterations coupling. The somad job API aliases this type and resolves
-// through this same method, so job and sweep parameter semantics cannot
+// per-field overrides, including the Beta2 > 0 -> uncapped stage-2
+// iterations coupling; a zero Beta keeps the profile's value and a negative
+// one is an error. The soma CLI flags, the somad job API and sweep specs all
+// resolve through this one method, so their parameter semantics cannot
 // drift.
 func (s Search) Params() (soma.Params, error) {
+	if s.Beta1 < 0 || s.Beta2 < 0 {
+		return soma.Params{}, fmt.Errorf("dse: beta1/beta2 must be >= 0, got %d/%d", s.Beta1, s.Beta2)
+	}
 	par, err := soma.ProfileParams(s.Profile)
 	if err != nil {
 		return soma.Params{}, err
@@ -279,13 +283,13 @@ func (s Sweep) Validate() error {
 		}
 	}
 	for _, d := range s.DRAMGBs {
-		if d < 0 {
-			return fmt.Errorf("dse: dram_gbps must be >= 0, got %g", d)
+		if err := ValidateHW(d, 0); err != nil {
+			return err
 		}
 	}
 	for _, g := range s.GBufMB {
-		if g < 0 {
-			return fmt.Errorf("dse: gbuf_mb must be >= 0, got %d", g)
+		if err := ValidateHW(0, g); err != nil {
+			return err
 		}
 	}
 	if a := s.Adaptive; a != nil {
@@ -298,6 +302,20 @@ func (s Sweep) Validate() error {
 		if a.Explore < 0 {
 			return fmt.Errorf("dse: adaptive explore must be >= 0, got %d", a.Explore)
 		}
+	}
+	return nil
+}
+
+// ValidateHW rejects negative hardware overrides (0 keeps the platform
+// preset's value). Validate applies it to every DRAM-bandwidth and buffer
+// axis value and the soma CLI to its -dram/-buf flags, so both reject with
+// the same wording.
+func ValidateHW(dramGBs float64, gbufMB int64) error {
+	if dramGBs < 0 {
+		return fmt.Errorf("dse: dram_gbps must be >= 0, got %g", dramGBs)
+	}
+	if gbufMB < 0 {
+		return fmt.Errorf("dse: gbuf_mb must be >= 0, got %d", gbufMB)
 	}
 	return nil
 }

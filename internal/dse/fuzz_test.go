@@ -9,7 +9,8 @@ import (
 // The parser must never panic, and every accepted spec must satisfy the
 // round-trip fixed point: marshal re-parses, and a second marshal reproduces
 // the first byte for byte (the property the spec digest and the journal
-// header binding depend on).
+// header binding depend on). An accepted spec whose search block carries a
+// negative beta must still fail validation.
 func FuzzParseSweep(f *testing.F) {
 	f.Add([]byte(`{"models": ["resnet50"]}`))
 	f.Add([]byte(`{"name": "grid", "models": ["mobilenetv2"], "gbuf_mb": [2, 4],
@@ -17,6 +18,7 @@ func FuzzParseSweep(f *testing.F) {
 	f.Add([]byte(`{"models": ["mobilenetv2"], "adaptive": {"budget": 3, "epsilon": 0.5, "explore": 1}}`))
 	f.Add([]byte(`{"scenarios": ["multi-tenant-cnn"], "objectives": [{"n": 1, "m": 2}]}`))
 	f.Add([]byte(`{"models": ["x"], "convergence": true, "workers": 3}`))
+	f.Add([]byte(`{"models": ["resnet50"], "search": {"beta1": -5}}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"models": ["a"]} trailing`))
 	f.Add([]byte(`{"modles": ["a"]}`))
@@ -39,6 +41,11 @@ func FuzzParseSweep(f *testing.F) {
 		}
 		if string(b1) != string(b2) {
 			t.Fatalf("round trip is not a fixed point:\n%s\n%s", b1, b2)
+		}
+		if s := sw.Search; s != nil && sw.Params == nil && (s.Beta1 < 0 || s.Beta2 < 0) {
+			if sw.Validate() == nil {
+				t.Fatalf("negative beta validated: %s", b1)
+			}
 		}
 	})
 }

@@ -249,6 +249,28 @@ func List() []BackendInfo {
 	return infos
 }
 
+// Catalog is the shared registry listing behind `soma -list` and the somad
+// /v1/models, /v1/hw, /v1/scenarios and /v1/backends endpoints: every name
+// list is deterministically sorted, so scenario specs and scripts
+// referencing them are stable across runs and releases.
+type Catalog struct {
+	Models    []string `json:"models"`
+	Platforms []string `json:"platforms"`
+	Scenarios []string `json:"scenarios"`
+	Backends  []string `json:"backends"`
+}
+
+// Registry returns the catalog of every registered model, hardware platform,
+// built-in scenario and solver backend, each list in sorted order.
+func Registry() Catalog {
+	return Catalog{
+		Models:    models.Names(),
+		Platforms: hw.Platforms(),
+		Scenarios: workload.BuiltinNames(),
+		Backends:  Backends(),
+	}
+}
+
 // Run solves one Request on its named backend, streaming progress through h
 // (nil disables streaming). It wraps the backend's events with a "start"
 // event up front and a terminal "done" (or "error") event, so every hook

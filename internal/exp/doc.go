@@ -4,16 +4,13 @@
 // top-level README's paper-artifact map lists which command regenerates
 // which figure.
 //
-// Since the engine refactor the package contains no search plumbing of its
-// own: comparison experiments (RunPair, Fig6) run engine.Compare, and
-// everything grid-shaped - the Fig. 7 bandwidth x buffer heatmap, the
+// The package contains no search plumbing of its own. Every multi-point
+// experiment - the Fig. 6 overall comparison (one sweep per platform over
+// the cocco and soma backends), the Fig. 7 bandwidth x buffer heatmap, the
 // Fig. 8 backend comparison, ObjectiveSweep and SeedSweep - is a thin
-// adapter over the dse sweep runner (internal/dse), which supplies the
-// worker pool, shared evaluation cache, and mid-grid cancellation. What
+// adapter over the dse sweep runner (internal/dse), which supplies the one
+// worker pool, the shared evaluation cache, and mid-grid cancellation. What
 // remains here is figure-specific shaping: pairing backend rows into bar
 // groups, geometric-mean summaries (Summarize), the Fig. 3 scatter
 // construction, and the Fig. 7 insight statistics (AnalyzeDSE).
-//
-// Registry exposes the shared model/platform/scenario/backend catalog behind
-// `soma -list` and the somad registry endpoints.
 package exp

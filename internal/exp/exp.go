@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
-	"sync"
 
 	"soma/internal/core"
 	"soma/internal/coresched"
@@ -18,21 +15,6 @@ import (
 	"soma/internal/sim"
 	"soma/internal/soma"
 )
-
-// Platforms lists the named hardware presets Platform accepts, in sorted
-// order. The registry itself lives in the hw package (shared with the
-// engine and the somad /v1/hw enumeration); these wrappers keep the exp API
-// stable.
-func Platforms() []string { return hw.Platforms() }
-
-// Platform returns the named hardware preset.
-func Platform(name string) (hw.Config, error) {
-	cfg, err := hw.Platform(name)
-	if err != nil {
-		return hw.Config{}, fmt.Errorf("exp: unknown platform %q (%v)", name, Platforms())
-	}
-	return cfg, nil
-}
 
 // Workloads returns the paper's Fig. 6 workload list for a platform (GPT-2
 // Small on edge, XL on cloud).
@@ -103,90 +85,88 @@ type PairResult struct {
 	Cocco Row
 	Ours1 Row
 	Ours2 Row
-	// Cache is the SoMa run's evaluation-cache counter snapshot.
-	Cache sim.CacheStats
 	Err   error
 }
 
-// searchCache reconstructs the evaluation-cache counter snapshot a payload
-// reports.
-func searchCache(s *report.Search) sim.CacheStats {
-	if s == nil {
-		return sim.CacheStats{}
-	}
-	st := sim.CacheStats{Hits: s.CacheHits, Misses: s.CacheMisses,
-		Entries: s.CacheEntries, Flushes: s.CacheGenerations}
-	st.Rate = st.HitRate()
-	return st
+// Fig6Grid is one platform's share of Fig. 6: a bar group per (model, batch)
+// pair on Platform.
+type Fig6Grid struct {
+	Platform string
+	Models   []string
+	Batches  []int
 }
 
-// RunPair runs the baseline and both SoMa stages on one case: one
-// engine.Request compared across the cocco and soma backends (one Fig. 6
-// bar group).
-func RunPair(c Case, par soma.Params) PairResult {
-	out := PairResult{Case: c}
-	req := engine.Request{Model: c.Workload, Batch: c.Batch, Platform: c.Platform,
-		Objective: soma.EDP(), Params: par}
-	results, err := engine.Compare(context.Background(), req, "cocco", "soma")
-	if err != nil {
-		out.Err = fmt.Errorf("%s: %w", c, err)
-		return out
+// Fig6Grids lays out the paper's Fig. 6 on the given platforms: each
+// platform's Workloads at every batch size (48 bar groups for edge and cloud
+// at the four paper batches).
+func Fig6Grids(platforms []string, batches []int) []Fig6Grid {
+	grids := make([]Fig6Grid, len(platforms))
+	for i, pf := range platforms {
+		grids[i] = Fig6Grid{Platform: pf, Models: Workloads(pf), Batches: batches}
 	}
-	base, ours := results[0], results[1]
-	out.Cocco = rowFromMetrics("cocco", base.Raw.Metrics, base.Raw.Schedule)
-	out.Cache = searchCache(ours.Search)
-	// Stage 1 metrics come from re-parsing the winning encoding with the
-	// heuristic double-buffer DLSA (what "Ours_1" shows in Fig. 6).
-	s1sched, err := core.Parse(ours.Raw.Graph, ours.Raw.Encoding)
+	return grids
+}
+
+// sweep is the grid's dse spec: both backends over Models x Batches. Backend
+// is the outermost expansion axis, so with n bar groups row i is Cocco's
+// half of group i and row n+i SoMa's.
+func (g Fig6Grid) sweep(par soma.Params, workers int) dse.Sweep {
+	return dse.Sweep{
+		Name:      "fig6-" + g.Platform,
+		Backends:  []string{"cocco", "soma"},
+		Platforms: []string{g.Platform}, Models: g.Models, Batches: g.Batches,
+		Params: &par, Workers: workers,
+	}
+}
+
+// Fig6 runs the overall comparison: one dse sweep per grid (the GPT-2
+// variant differs between edge and cloud, so platforms cannot share a models
+// axis), every sweep on the dse worker pool and all sharing one evaluation
+// cache; hooks (nil for none) receives the sweeps' point events. It returns
+// the bar groups in grid order and the shared cache's counters after the
+// last sweep. A failed point fails only its bar group; an invalid grid or a
+// canceled ctx fails the whole figure.
+func Fig6(ctx context.Context, grids []Fig6Grid, par soma.Params, workers int,
+	hooks *engine.Hooks) ([]PairResult, sim.CacheStats, error) {
+	opt := dse.Options{Cache: sim.NewCache(0), Hooks: hooks}
+	var out []PairResult
+	var cache sim.CacheStats
+	for _, g := range grids {
+		res, err := dse.Run(ctx, g.sweep(par, workers), opt)
+		if err != nil {
+			return nil, sim.CacheStats{}, err
+		}
+		n := len(res.Rows) / 2
+		for i, base := range res.Rows[:n] {
+			out = append(out, pairFromRows(base, res.Rows[n+i]))
+		}
+		cache = res.Cache
+	}
+	return out, cache, nil
+}
+
+// pairFromRows builds one bar group from its Cocco and SoMa sweep rows.
+// Stage 1 metrics come from re-parsing SoMa's winning encoding with the
+// heuristic double-buffer DLSA (what "Ours_1" shows in Fig. 6).
+func pairFromRows(base, ours dse.Row) PairResult {
+	p := base.Point
+	out := PairResult{Case: Case{Platform: p.Platform, Workload: p.Model, Batch: p.Batch}}
+	for _, r := range []dse.Row{base, ours} {
+		if r.Err != "" {
+			out.Err = fmt.Errorf("%s: %s: %s", out.Case, r.Point.Backend, r.Err)
+			return out
+		}
+	}
+	out.Cocco = rowFromMetrics("cocco", base.Result.Raw.Metrics, base.Result.Raw.Schedule)
+	raw := ours.Result.Raw
+	s1sched, err := core.Parse(raw.Graph, raw.Encoding)
 	if err != nil {
 		out.Err = err
 		return out
 	}
-	out.Ours1 = rowFromMetrics("ours1", ours.Raw.Stage1Metrics, s1sched)
-	out.Ours2 = rowFromMetrics("ours2", ours.Raw.Metrics, ours.Raw.Schedule)
+	out.Ours1 = rowFromMetrics("ours1", raw.Stage1Metrics, s1sched)
+	out.Ours2 = rowFromMetrics("ours2", raw.Metrics, raw.Schedule)
 	return out
-}
-
-// ParallelMap runs fn over all cases using up to workers goroutines,
-// preserving input order in the result.
-func ParallelMap[T any](items []T, workers int, fn func(T) PairResult) []PairResult {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	out := make([]PairResult, len(items))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i := range items {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			out[i] = fn(items[i])
-		}(i)
-	}
-	wg.Wait()
-	return out
-}
-
-// Fig6Cases enumerates the 48 (platform, workload, batch) points of Fig. 6.
-func Fig6Cases() []Case {
-	var cs []Case
-	for _, pf := range []string{"edge", "cloud"} {
-		for _, w := range Workloads(pf) {
-			for _, b := range Batches {
-				cs = append(cs, Case{Platform: pf, Workload: w, Batch: b})
-			}
-		}
-	}
-	return cs
-}
-
-// Fig6 runs the overall comparison on the given cases.
-func Fig6(cases []Case, par soma.Params, workers int) []PairResult {
-	return ParallelMap(cases, workers, func(c Case) PairResult {
-		return RunPair(c, par)
-	})
 }
 
 // GeoMeans summarizes Fig. 6 results the way Sec. VI-B reports them:
@@ -203,29 +183,26 @@ type GeoMeans struct {
 // Summarize folds valid pair results into geometric means.
 func Summarize(rs []PairResult) GeoMeans {
 	var gm GeoMeans
-	logSum := func(acc *float64, v float64) {
-		*acc += ln(v)
-	}
 	var s1, s2, extra, en, gap float64
 	for _, r := range rs {
 		if r.Err != nil || r.Cocco.LatencyNS == 0 || r.Ours2.LatencyNS == 0 {
 			continue
 		}
 		gm.N++
-		logSum(&s1, r.Cocco.LatencyNS/r.Ours1.LatencyNS)
-		logSum(&s2, r.Cocco.LatencyNS/r.Ours2.LatencyNS)
-		logSum(&extra, r.Ours1.LatencyNS/r.Ours2.LatencyNS)
-		logSum(&en, r.Ours2.EnergyPJ/r.Cocco.EnergyPJ)
+		s1 += math.Log(r.Cocco.LatencyNS / r.Ours1.LatencyNS)
+		s2 += math.Log(r.Cocco.LatencyNS / r.Ours2.LatencyNS)
+		extra += math.Log(r.Ours1.LatencyNS / r.Ours2.LatencyNS)
+		en += math.Log(r.Ours2.EnergyPJ / r.Cocco.EnergyPJ)
 		gap += (r.Ours2.TheoUtil - r.Ours2.Util) / r.Ours2.TheoUtil
 	}
 	if gm.N == 0 {
 		return gm
 	}
 	n := float64(gm.N)
-	gm.SpeedupStage1 = exp(s1 / n)
-	gm.SpeedupStage2 = exp(s2 / n)
-	gm.Stage2Extra = exp(extra / n)
-	gm.EnergyRatio = exp(en / n)
+	gm.SpeedupStage1 = math.Exp(s1 / n)
+	gm.SpeedupStage2 = math.Exp(s2 / n)
+	gm.Stage2Extra = math.Exp(extra / n)
+	gm.EnergyRatio = math.Exp(en / n)
 	gm.GapToBound = gap / n
 	return gm
 }
@@ -364,8 +341,8 @@ func Fig7(ctx context.Context, workload string, batch int, par soma.Params, work
 		bufsMB[i] = b >> 20
 	}
 	res, err := dse.Run(ctx, dse.Sweep{
-		Name:     "fig7",
-		Backends: []string{"cocco", "soma"},
+		Name:      "fig7",
+		Backends:  []string{"cocco", "soma"},
 		Platforms: []string{"edge"}, Models: []string{workload},
 		Batches: []int{batch},
 		DRAMGBs: Fig7Bandwidths, GBufMB: bufsMB,
@@ -409,14 +386,14 @@ type TracePair struct {
 // sweep over the backend axis (Cocco and SoMa on the same cell), then traced
 // re-evaluations of the three schedules.
 func Fig8(ctx context.Context, c Case, par soma.Params) (*TracePair, error) {
-	cfg, err := Platform(c.Platform)
+	cfg, err := hw.Platform(c.Platform)
 	if err != nil {
 		return nil, err
 	}
 	cs := coresched.New(cfg)
 	res, err := dse.Run(ctx, dse.Sweep{
-		Name:     "fig8",
-		Backends: []string{"cocco", "soma"},
+		Name:      "fig8",
+		Backends:  []string{"cocco", "soma"},
 		Platforms: []string{c.Platform}, Models: []string{c.Workload},
 		Batches: []int{c.Batch}, Params: &par,
 	}, dse.Options{})
@@ -450,10 +427,4 @@ func Fig8(ctx context.Context, c Case, par soma.Params) (*TracePair, error) {
 		return nil, err
 	}
 	return tp, nil
-}
-
-// SortCases orders cases deterministically (heavy ones first improves
-// parallel load balance is NOT done here; stable order for reports).
-func SortCases(cs []Case) {
-	sort.Slice(cs, func(a, b int) bool { return cs[a].String() < cs[b].String() })
 }

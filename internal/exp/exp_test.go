@@ -1,26 +1,16 @@
 package exp
 
 import (
+	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
+	"soma/internal/hw"
 	"soma/internal/models"
 	"soma/internal/soma"
+	"soma/internal/testutil"
 )
-
-func TestPlatform(t *testing.T) {
-	e, err := Platform("edge")
-	if err != nil || e.Name != "edge" {
-		t.Fatalf("edge: %v %v", e.Name, err)
-	}
-	c, err := Platform("cloud")
-	if err != nil || c.Name != "cloud" {
-		t.Fatalf("cloud: %v %v", c.Name, err)
-	}
-	if _, err := Platform("tpu"); err == nil {
-		t.Fatal("unknown platform accepted")
-	}
-}
 
 func TestWorkloadsPairing(t *testing.T) {
 	edge := Workloads("edge")
@@ -43,32 +33,74 @@ func TestWorkloadsPairing(t *testing.T) {
 }
 
 func TestFig6CasesCount(t *testing.T) {
-	cs := Fig6Cases()
 	// The paper's artifact runs 96 experiments for Fig. 6: 48 cases, each
 	// with baseline + ours.
-	if len(cs) != 48 {
-		t.Fatalf("cases = %d, want 48", len(cs))
-	}
+	points := 0
 	seen := map[string]bool{}
-	for _, c := range cs {
-		if seen[c.String()] {
-			t.Fatalf("duplicate case %s", c)
+	for _, g := range Fig6Grids([]string{"edge", "cloud"}, Batches) {
+		pts, err := g.sweep(soma.FastParams(), 1).Expand()
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen[c.String()] = true
+		for _, p := range pts {
+			if seen[p.Label()] {
+				t.Fatalf("duplicate point %s", p.Label())
+			}
+			seen[p.Label()] = true
+		}
+		points += len(pts)
+	}
+	if points != 96 {
+		t.Fatalf("points = %d, want 96", points)
 	}
 }
 
-func TestRunPairProducesOrderedRows(t *testing.T) {
-	r := RunPair(Case{Platform: "edge", Workload: "resnet50", Batch: 1}, soma.FastParams())
-	if r.Err != nil {
-		t.Fatalf("RunPair: %v", r.Err)
+// fig6Small is a five-group Fig. 6 over two platforms, small enough for the
+// fast profile: two models at two batches on edge, one model on cloud.
+var fig6Small = []Fig6Grid{
+	{Platform: "edge", Models: []string{"resnet50", "mobilenetv2"}, Batches: []int{1, 2}},
+	{Platform: "cloud", Models: []string{"mobilenetv2"}, Batches: []int{1}},
+}
+
+// TestFig6MatchesGolden pins the bar groups of a small Fig. 6 byte for byte.
+// The golden was captured from the pre-dse driver (one engine.Compare per
+// case on its own goroutine pool, no cache shared across cases), so it also
+// proves that running the figure as dse sweeps sharing one cache changes no
+// number.
+func TestFig6MatchesGolden(t *testing.T) {
+	type pair struct {
+		Case                Case
+		Cocco, Ours1, Ours2 Row
 	}
+	results, cache, err := Fig6(context.Background(), fig6Small, soma.FastParams(), 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := make([]pair, len(results))
+	for i, r := range results {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Case, r.Err)
+		}
+		pairs[i] = pair{r.Case, r.Cocco, r.Ours1, r.Ours2}
+	}
+	got, err := json.MarshalIndent(pairs, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	testutil.Golden(t, "testdata/fig6_pairs.golden.json", append(got, '\n'))
+	if cache.Hits+cache.Misses == 0 {
+		t.Fatalf("shared cache saw no lookups: %+v", cache)
+	}
+
+	for _, r := range results {
+		// Stage 2 must never be slower than stage 1 (same LFA, explored DLSA).
+		if r.Ours2.LatencyNS > r.Ours1.LatencyNS*1.0001 {
+			t.Fatalf("%s: stage 2 regressed: %g > %g", r.Case, r.Ours2.LatencyNS, r.Ours1.LatencyNS)
+		}
+	}
+	r := results[0] // edge/resnet50/b1
 	if r.Cocco.Scheme != "cocco" || r.Ours1.Scheme != "ours1" || r.Ours2.Scheme != "ours2" {
 		t.Fatalf("schemes: %s %s %s", r.Cocco.Scheme, r.Ours1.Scheme, r.Ours2.Scheme)
-	}
-	// Stage 2 must never be slower than stage 1 (same LFA, explored DLSA).
-	if r.Ours2.LatencyNS > r.Ours1.LatencyNS*1.0001 {
-		t.Fatalf("stage 2 regressed: %g > %g", r.Ours2.LatencyNS, r.Ours1.LatencyNS)
 	}
 	// The headline result: SoMa beats the baseline on ResNet-50.
 	if r.Ours2.LatencyNS >= r.Cocco.LatencyNS {
@@ -83,14 +115,14 @@ func TestRunPairProducesOrderedRows(t *testing.T) {
 	}
 }
 
-func TestRunPairUnknownWorkload(t *testing.T) {
-	r := RunPair(Case{Platform: "edge", Workload: "nope", Batch: 1}, soma.FastParams())
-	if r.Err == nil {
-		t.Fatal("unknown workload must error")
-	}
-	r = RunPair(Case{Platform: "nope", Workload: "resnet50", Batch: 1}, soma.FastParams())
-	if r.Err == nil {
-		t.Fatal("unknown platform must error")
+func TestFig6UnknownWorkload(t *testing.T) {
+	for _, g := range []Fig6Grid{
+		{Platform: "edge", Models: []string{"nope"}, Batches: []int{1}},
+		{Platform: "nope", Models: []string{"resnet50"}, Batches: []int{1}},
+	} {
+		if _, _, err := Fig6(context.Background(), []Fig6Grid{g}, soma.FastParams(), 1, nil); err == nil {
+			t.Fatalf("grid %+v must error", g)
+		}
 	}
 }
 
@@ -158,9 +190,8 @@ func TestFig3LayersNormalization(t *testing.T) {
 
 func TestFig3TilesMoreSpreadThanLayers(t *testing.T) {
 	g, _ := models.Build("resnet50", 1)
-	cfg, _ := Platform("edge")
 	layers := Fig3Layers(g)
-	tiles, err := Fig3Tiles(g, cfg, soma.FastParams())
+	tiles, err := Fig3Tiles(g, hw.Edge(), soma.FastParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,32 +218,5 @@ func TestSpreadEdgeCases(t *testing.T) {
 	pts := []ScatterPoint{{NormOps: 1, NormDRAM: 0}, {NormOps: 0, NormDRAM: 1}}
 	if Spread(pts) != 1 {
 		t.Fatalf("spread = %g", Spread(pts))
-	}
-}
-
-func TestParallelMapPreservesOrder(t *testing.T) {
-	cases := []Case{
-		{Platform: "edge", Workload: "a", Batch: 1},
-		{Platform: "edge", Workload: "b", Batch: 2},
-		{Platform: "edge", Workload: "c", Batch: 3},
-	}
-	out := ParallelMap(cases, 2, func(c Case) PairResult {
-		return PairResult{Case: c}
-	})
-	for i := range cases {
-		if out[i].Case != cases[i] {
-			t.Fatalf("order not preserved: %v", out)
-		}
-	}
-}
-
-func TestSortCases(t *testing.T) {
-	cs := []Case{
-		{Platform: "edge", Workload: "z", Batch: 1},
-		{Platform: "cloud", Workload: "a", Batch: 1},
-	}
-	SortCases(cs)
-	if cs[0].Platform != "cloud" {
-		t.Fatalf("not sorted: %v", cs)
 	}
 }

@@ -3,18 +3,20 @@
 //
 // # Serial search (Run)
 //
-// Starting from an initial solution, each iteration applies a random
+// Starting from an initial MoveState, each iteration applies a random
 // operator, evaluates the candidate, always accepts improvements and accepts
 // regressions with probability p = exp((c-c')/(c*T_n)), where the
 // temperature follows the paper's schedule T_n = T0*(1-n/N)/(1+alpha*n/N).
 // An optional wall-clock deadline switches the tail of the search to
 // improve-only iterations (the paper's "Y more iterations" rule).
 //
-// The engine is generic over the state type: stage 1 anneals *core.Encoding
-// (the Layer-Fusion-related Attributes), stage 2 anneals *core.Schedule (the
-// DRAM-Load-and-Store-related Attributes), and the Cocco baseline reuses the
-// same engine for its fusion search. States must be value-like: neighbor
-// functions clone before mutating.
+// The engine is generic over the state type. Stage 1 anneals *core.Encoding
+// (the Layer-Fusion-related Attributes) through CloneMoves, the one
+// clone-per-candidate adapter, and the Cocco baseline reuses that adapter for
+// its fusion search; stage 2 anneals *core.Schedule (the
+// DRAM-Load-and-Store-related Attributes) through its own incremental
+// MoveState. Run and RunPortfolio are the package's only two entry points,
+// and both take a context for cooperative cancellation.
 //
 // # Portfolio search (RunPortfolio)
 //

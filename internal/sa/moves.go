@@ -23,12 +23,12 @@ func journalSample(move int64, st Stats, bestCost, curCost, temp float64,
 	return sm
 }
 
-// MoveState is the move-aware face of an annealing problem. Where the
-// classic Run interface clones the whole state per candidate (neighbor +
-// cost), a MoveState applies one move in place, reports its cost, and then
-// commits or rolls it back depending on the acceptance draw - which is what
-// lets an incremental evaluator (sim.Incremental) splice cached simulation
-// state instead of replaying the schedule per candidate.
+// MoveState is the annealer's view of a problem: it applies one move,
+// reports its cost, and then commits or rolls it back depending on the
+// acceptance draw. CloneMoves implements it by cloning the state per
+// candidate; an incremental evaluator (sim.Incremental, stage 2) instead
+// applies the move in place and splices cached simulation state rather than
+// replaying the schedule per candidate.
 //
 // The contract: Propose applies at most one move and returns its cost;
 // ok=false means the drawn move was unproductive, the state is unchanged,
@@ -64,17 +64,12 @@ type IncCountSource interface {
 	IncCounts() (resumed, fallbacks int64)
 }
 
-// RunMoves anneals a MoveState with the paper's acceptance rule and cooling
-// schedule. It is the engine underneath Run/RunCtx: both interfaces draw
-// the same rng sequence under the same Config, so migrating a caller from
-// the clone interface to a MoveState preserves its search trajectory
-// exactly (given the costs are bit-identical).
-func RunMoves[S any](cfg Config, ms MoveState[S]) (S, float64, Stats) {
-	return RunMovesCtx(context.Background(), cfg, ms)
-}
-
-// RunMovesCtx is RunMoves with cooperative cancellation, mirroring RunCtx.
-func RunMovesCtx[S any](ctx context.Context, cfg Config, ms MoveState[S]) (S, float64, Stats) {
+// Run anneals a MoveState with the paper's acceptance rule and cooling
+// schedule and returns the best state seen. When ctx is canceled the loop
+// stops within cancelCheckEvery iterations and returns the best state so
+// far; callers that must tell a canceled run from a converged one check
+// ctx.Err() after Run returns (the annealer itself never fails).
+func Run[S any](ctx context.Context, cfg Config, ms MoveState[S]) (S, float64, Stats) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	curCost := ms.InitCost()
 	best, bestCost := ms.Snapshot(), curCost
@@ -178,23 +173,24 @@ func RunMovesCtx[S any](ctx context.Context, cfg Config, ms MoveState[S]) (S, fl
 	return best, bestCost, st
 }
 
-// RunMovesPortfolio runs Chains independently seeded MoveState chains and
-// returns the best state across them, exactly like RunPortfolio for the
-// clone interface. newState builds chain c's private MoveState: move-aware
-// states are stateful by design (they carry spliced evaluator caches), so
-// unlike the clone interface the chains cannot share one state value - each
-// gets its own, and newState must be safe to call from the worker
-// goroutines.
-func RunMovesPortfolio[S any](cfg Config, pf PortfolioConfig,
-	newState func(chain int) MoveState[S]) (S, float64, PortfolioStats) {
-	return RunMovesPortfolioCtx(context.Background(), cfg, pf, newState)
-}
-
-// RunMovesPortfolioCtx is RunMovesPortfolio with cooperative cancellation.
-// The chain seeding, winner selection, and stats aggregation match
-// RunPortfolioCtx, so a fixed Config.Seed yields an identical result for
-// any Workers value (Config.Deadline == 0, as ever).
-func RunMovesPortfolioCtx[S any](ctx context.Context, cfg Config, pf PortfolioConfig,
+// RunPortfolio anneals Chains independent chains and returns the best state
+// found across all of them. newState builds chain c's private MoveState (a
+// move-aware state carries spliced evaluator caches, so chains never share
+// one) and must be safe to call from the worker goroutines, as must anything
+// the states share, such as a CloneMoves Cost or Neighbor. Chain c runs Run
+// under seed Config.Seed+c and the winner is selected by (cost, chain index),
+// so a fixed Config.Seed yields an identical result for any Workers value -
+// parallelism is observationally equivalent to the serial sweep.
+//
+// The invariance requires Config.Deadline == 0: a wall-clock deadline makes
+// each chain's improve-only cutoff depend on when the pool scheduled it, so
+// deadline runs trade determinism for bounded time just like a serial Run.
+//
+// ctx is shared by every chain, so canceling it stops the whole portfolio
+// within cancelCheckEvery iterations per chain. The best state seen across
+// the chains that did run is still returned; callers check ctx.Err() to tell
+// a canceled portfolio from a converged one.
+func RunPortfolio[S any](ctx context.Context, cfg Config, pf PortfolioConfig,
 	newState func(chain int) MoveState[S]) (S, float64, PortfolioStats) {
 
 	pf = pf.normalized()
@@ -205,7 +201,7 @@ func RunMovesPortfolioCtx[S any](ctx context.Context, cfg Config, pf PortfolioCo
 		if pf.Journal != nil {
 			cfg.Journal = pf.Journal(0)
 		}
-		best, bestCost, st := RunMovesCtx(ctx, cfg, newState(0))
+		best, bestCost, st := Run(ctx, cfg, newState(0))
 		return best, bestCost, PortfolioStats{
 			Total: st, Chains: 1, Workers: 1, PerChain: []Stats{st}}
 	}
@@ -235,7 +231,7 @@ func RunMovesPortfolioCtx[S any](ctx context.Context, cfg Config, pf PortfolioCo
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			best, bc, st := RunMovesCtx(ctx, chainCfg, newState(c))
+			best, bc, st := Run(ctx, chainCfg, newState(c))
 			results[c] = outcome{best: best, cost: bc, st: st}
 		}(c, chainCfg)
 	}
@@ -259,26 +255,34 @@ func RunMovesPortfolioCtx[S any](ctx context.Context, cfg Config, pf PortfolioCo
 	return results[winner].best, results[winner].cost, ps
 }
 
-// cloneMoves adapts the classic clone-per-candidate interface (neighbor +
-// cost) to a MoveState. The rng draw sequence is exactly the historical
-// RunCtx loop's: neighbor's draws, then the acceptance draw.
-type cloneMoves[S any] struct {
-	cur, cand S
-	cost      func(S) float64
-	neighbor  func(S, *rand.Rand) (S, bool)
+// CloneMoves is the clone-per-candidate MoveState: Neighbor derives a
+// candidate from the current state without mutating it (ok=false marks an
+// unproductive draw) and names the operator it drew; Cost evaluates a state,
+// with +Inf marking infeasible candidates. Accept swaps the candidate in and
+// Reject drops it, so states must be value-like. The rng draw sequence per
+// iteration is Neighbor's draws, then the annealer's acceptance draw.
+type CloneMoves[S any] struct {
+	// Cur is the current accepted state; set it to the initial solution.
+	Cur      S
+	Cost     func(S) float64
+	Neighbor func(S, *rand.Rand) (S, string, bool)
+
+	cand S
+	kind string
 }
 
-func (m *cloneMoves[S]) InitCost() float64 { return m.cost(m.cur) }
+func (m *CloneMoves[S]) InitCost() float64 { return m.Cost(m.Cur) }
 
-func (m *cloneMoves[S]) Propose(rng *rand.Rand) (float64, bool) {
-	cand, ok := m.neighbor(m.cur, rng)
+func (m *CloneMoves[S]) Propose(rng *rand.Rand) (float64, bool) {
+	cand, kind, ok := m.Neighbor(m.Cur, rng)
 	if !ok {
 		return 0, false
 	}
-	m.cand = cand
-	return m.cost(cand), true
+	m.cand, m.kind = cand, kind
+	return m.Cost(cand), true
 }
 
-func (m *cloneMoves[S]) Accept()     { m.cur = m.cand }
-func (m *cloneMoves[S]) Reject()     {}
-func (m *cloneMoves[S]) Snapshot() S { return m.cur }
+func (m *CloneMoves[S]) Accept()          { m.Cur = m.cand }
+func (m *CloneMoves[S]) Reject()          {}
+func (m *CloneMoves[S]) Snapshot() S      { return m.Cur }
+func (m *CloneMoves[S]) MoveKind() string { return m.kind }

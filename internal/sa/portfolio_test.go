@@ -1,6 +1,7 @@
 package sa
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -23,13 +24,20 @@ func ruggedNeighbor(x int, rng *rand.Rand) (int, bool) {
 
 func portfolioCfg() Config { return Config{T0: 0.3, Alpha: 4, Iters: 400, Seed: 11} }
 
+// runRugged runs a portfolio of rugged chains, all starting from 0.
+func runRugged(cfg Config, pf PortfolioConfig) (int, float64, PortfolioStats) {
+	return RunPortfolio(context.Background(), cfg, pf, func(int) MoveState[int] {
+		return clone(0, rugged, ruggedNeighbor)
+	})
+}
+
 func TestPortfolioDeterministicAcrossWorkers(t *testing.T) {
 	var states []int
 	var costs []float64
 	var chains []int
 	for _, workers := range []int{1, 3, 8, 16} {
 		pf := PortfolioConfig{Chains: 6, Workers: workers}
-		best, c, st := RunPortfolio(portfolioCfg(), pf, 0, rugged, ruggedNeighbor)
+		best, c, st := runRugged(portfolioCfg(), pf)
 		states = append(states, best)
 		costs = append(costs, c)
 		chains = append(chains, st.BestChain)
@@ -46,15 +54,14 @@ func TestPortfolioDeterministicAcrossWorkers(t *testing.T) {
 
 func TestPortfolioNeverWorseThanAnyChain(t *testing.T) {
 	cfg := portfolioCfg()
-	pfBest, pfCost, st := RunPortfolio(cfg, PortfolioConfig{Chains: 8, Workers: 4},
-		0, rugged, ruggedNeighbor)
+	pfBest, pfCost, st := runRugged(cfg, PortfolioConfig{Chains: 8, Workers: 4})
 	if rugged(pfBest) != pfCost {
 		t.Fatalf("returned cost %g does not match returned state (%g)", pfCost, rugged(pfBest))
 	}
 	for c := 0; c < 8; c++ {
 		chainCfg := cfg
 		chainCfg.Seed = cfg.Seed + int64(c)
-		_, cc, _ := Run(chainCfg, 0, rugged, ruggedNeighbor)
+		_, cc, _ := run(chainCfg, 0, rugged, ruggedNeighbor)
 		if pfCost > cc {
 			t.Fatalf("portfolio (%g) lost to its own chain %d (%g)", pfCost, c, cc)
 		}
@@ -65,8 +72,7 @@ func TestPortfolioNeverWorseThanAnyChain(t *testing.T) {
 }
 
 func TestPortfolioAggregatesStats(t *testing.T) {
-	_, _, st := RunPortfolio(portfolioCfg(), PortfolioConfig{Chains: 5, Workers: 2},
-		0, rugged, ruggedNeighbor)
+	_, _, st := runRugged(portfolioCfg(), PortfolioConfig{Chains: 5, Workers: 2})
 	if len(st.PerChain) != 5 {
 		t.Fatalf("per-chain stats = %d", len(st.PerChain))
 	}
@@ -86,8 +92,8 @@ func TestPortfolioAggregatesStats(t *testing.T) {
 
 func TestPortfolioZeroValueIsSerialRun(t *testing.T) {
 	cfg := portfolioCfg()
-	serialBest, serialCost, serialStats := Run(cfg, 0, rugged, ruggedNeighbor)
-	pfBest, pfCost, st := RunPortfolio(cfg, PortfolioConfig{}, 0, rugged, ruggedNeighbor)
+	serialBest, serialCost, serialStats := run(cfg, 0, rugged, ruggedNeighbor)
+	pfBest, pfCost, st := runRugged(cfg, PortfolioConfig{})
 	if pfBest != serialBest || pfCost != serialCost || st.Total != serialStats {
 		t.Fatalf("zero portfolio must equal Run: %v/%g vs %v/%g", pfBest, pfCost, serialBest, serialCost)
 	}

@@ -34,12 +34,28 @@ func TestTemperatureSchedule(t *testing.T) {
 	}
 }
 
+// clone wraps a test problem in the clone adapter (test neighbors name no
+// operator kinds).
+func clone[S any](init S, cost func(S) float64, neighbor func(S, *rand.Rand) (S, bool)) *CloneMoves[S] {
+	return &CloneMoves[S]{Cur: init, Cost: cost,
+		Neighbor: func(s S, rng *rand.Rand) (S, string, bool) {
+			next, ok := neighbor(s, rng)
+			return next, "", ok
+		}}
+}
+
+// run is a serial Run of a clone-adapted problem under a live context.
+func run[S any](cfg Config, init S, cost func(S) float64,
+	neighbor func(S, *rand.Rand) (S, bool)) (S, float64, Stats) {
+	return Run[S](context.Background(), cfg, clone(init, cost, neighbor))
+}
+
 func TestRunFindsQuadraticMinimum(t *testing.T) {
 	cost := func(x float64) float64 { return (x - 7) * (x - 7) }
 	neighbor := func(x float64, rng *rand.Rand) (float64, bool) {
 		return x + rng.NormFloat64(), true
 	}
-	best, bc, st := Run(DefaultConfig(5000, 1), 100.0, cost, neighbor)
+	best, bc, st := run(DefaultConfig(5000, 1), 100.0, cost, neighbor)
 	if math.Abs(best-7) > 0.5 {
 		t.Fatalf("best = %g, want ~7 (cost %g)", best, bc)
 	}
@@ -53,12 +69,12 @@ func TestRunDeterministicForSeed(t *testing.T) {
 	neighbor := func(x int, rng *rand.Rand) (int, bool) {
 		return x + rng.Intn(7) - 3, true
 	}
-	a, ac, _ := Run(DefaultConfig(2000, 99), 0, cost, neighbor)
-	b, bc, _ := Run(DefaultConfig(2000, 99), 0, cost, neighbor)
+	a, ac, _ := run(DefaultConfig(2000, 99), 0, cost, neighbor)
+	b, bc, _ := run(DefaultConfig(2000, 99), 0, cost, neighbor)
 	if a != b || ac != bc {
 		t.Fatalf("same seed diverged: %d/%g vs %d/%g", a, ac, b, bc)
 	}
-	c, _, _ := Run(DefaultConfig(2000, 100), 0, cost, neighbor)
+	c, _, _ := run(DefaultConfig(2000, 100), 0, cost, neighbor)
 	_ = c // different seed may or may not differ; just must not crash
 }
 
@@ -74,7 +90,7 @@ func TestRunEscapesInfeasibleStart(t *testing.T) {
 	neighbor := func(x int, rng *rand.Rand) (int, bool) {
 		return x + rng.Intn(5) - 1, true
 	}
-	best, bc, _ := Run(DefaultConfig(3000, 7), 0, cost, neighbor)
+	best, bc, _ := run(DefaultConfig(3000, 7), 0, cost, neighbor)
 	if math.IsInf(bc, 1) {
 		t.Fatalf("never escaped infeasible region: best=%d", best)
 	}
@@ -88,7 +104,7 @@ func TestRunNeverReturnsWorseThanInit(t *testing.T) {
 	neighbor := func(x float64, rng *rand.Rand) (float64, bool) {
 		return x + rng.Float64()*10, true // only worsening moves
 	}
-	_, bc, _ := Run(DefaultConfig(500, 3), 2.0, cost, neighbor)
+	_, bc, _ := run(DefaultConfig(500, 3), 2.0, cost, neighbor)
 	if bc > 4.0 {
 		t.Fatalf("best cost %g worse than init 4.0", bc)
 	}
@@ -98,7 +114,7 @@ func TestRunSkipsRejectedNeighbors(t *testing.T) {
 	calls := 0
 	cost := func(x int) float64 { calls++; return float64(x) }
 	neighbor := func(x int, rng *rand.Rand) (int, bool) { return x, false }
-	_, _, st := Run(DefaultConfig(100, 1), 5, cost, neighbor)
+	_, _, st := run(DefaultConfig(100, 1), 5, cost, neighbor)
 	if st.Accepted != 0 {
 		t.Fatalf("accepted moves with no valid neighbors: %+v", st)
 	}
@@ -117,7 +133,7 @@ func TestRunDeadlineImproveOnly(t *testing.T) {
 		return x + rng.Float64() - 0.3, true
 	}
 	start := time.Now()
-	_, _, st := Run(cfg, 100.0, cost, neighbor)
+	_, _, st := run(cfg, 100.0, cost, neighbor)
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("deadline ignored")
 	}
@@ -136,7 +152,7 @@ func TestRunCtxCancellation(t *testing.T) {
 	// Pre-canceled: stops at the first check, before any move.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	best, _, st := RunCtx(ctx, DefaultConfig(1<<20, 1), 0, cost, neighbor)
+	best, _, st := Run[int](ctx, DefaultConfig(1<<20, 1), clone(0, cost, neighbor))
 	if st.Iterations != 0 {
 		t.Fatalf("pre-canceled run iterated %d times", st.Iterations)
 	}
@@ -156,7 +172,7 @@ func TestRunCtxCancellation(t *testing.T) {
 		}
 		return s - 1, true
 	}
-	_, _, st = RunCtx(ctx, DefaultConfig(1<<20, 1), 0, cost, cancelAt)
+	_, _, st = Run[int](ctx, DefaultConfig(1<<20, 1), clone(0, cost, cancelAt))
 	if st.Iterations >= 10+2*cancelCheckEvery {
 		t.Fatalf("cancellation took %d iterations to land", st.Iterations)
 	}
@@ -164,11 +180,11 @@ func TestRunCtxCancellation(t *testing.T) {
 		t.Fatalf("run stopped before cancel: %d iterations", st.Iterations)
 	}
 
-	// RunPortfolioCtx shares the context across chains: every chain stops.
+	// RunPortfolio shares the context across chains: every chain stops.
 	ctx, cancel = context.WithCancel(context.Background())
 	cancel()
-	_, _, pst := RunPortfolioCtx(ctx, DefaultConfig(1<<20, 1),
-		PortfolioConfig{Chains: 4, Workers: 2}, 0, cost, neighbor)
+	_, _, pst := RunPortfolio(ctx, DefaultConfig(1<<20, 1), PortfolioConfig{Chains: 4, Workers: 2},
+		func(int) MoveState[int] { return clone(0, cost, neighbor) })
 	if pst.Total.Iterations != 0 {
 		t.Fatalf("canceled portfolio iterated %d times", pst.Total.Iterations)
 	}

@@ -18,7 +18,6 @@ import (
 	"soma/internal/cluster"
 	"soma/internal/dse"
 	"soma/internal/engine"
-	"soma/internal/exp"
 	"soma/internal/hw"
 	"soma/internal/obs"
 	"soma/internal/report"
@@ -355,6 +354,22 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, apiError{Error: msg})
 }
 
+// MaxBodyBytes bounds the job and sweep submit bodies. Specs are a few KB;
+// the bound keeps one oversized upload from being buffered whole.
+const MaxBodyBytes = 1 << 20
+
+// badBody answers a submit body that failed to read or decode: 413 when it
+// overran MaxBodyBytes, 400 otherwise.
+func badBody(w http.ResponseWriter, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", MaxBodyBytes))
+		return
+	}
+	writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+}
+
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
@@ -473,7 +488,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string][]string{"models": exp.Registry().Models})
+	writeJSON(w, http.StatusOK, map[string][]string{"models": engine.Registry().Models})
 }
 
 // handleScenarios serves the built-in scenario library: every entry is a
@@ -565,9 +580,9 @@ func hwInfo(name string, cfg hw.Config) HWInfo {
 }
 
 func (s *Server) handleHW(w http.ResponseWriter, _ *http.Request) {
-	infos := make([]HWInfo, 0, len(exp.Platforms()))
-	for _, name := range exp.Platforms() {
-		cfg, err := exp.Platform(name)
+	infos := make([]HWInfo, 0, len(hw.Platforms()))
+	for _, name := range hw.Platforms() {
+		cfg, err := hw.Platform(name)
 		if err != nil {
 			continue
 		}
@@ -582,10 +597,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		badBody(w, err)
 		return
 	}
 	in, err := req.normalize()
@@ -628,9 +643,9 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server shutting down")
 		return
 	}
-	body, err := io.ReadAll(r.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		badBody(w, err)
 		return
 	}
 	sw, err := dse.ParseSweep(body)

@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"soma/internal/exp"
+	"soma/internal/hw"
 	"soma/internal/models"
 	"soma/internal/report"
 	"soma/internal/soma"
@@ -124,7 +124,7 @@ func TestEndToEndDeterminism(t *testing.T) {
 	}
 
 	// The same run through the library path (what cmd/soma -json prints).
-	cfg, err := exp.Platform("edge")
+	cfg, err := hw.Platform("edge")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,10 +267,10 @@ func TestRegistryEndpoints(t *testing.T) {
 		if code := doJSON(t, http.MethodGet, ts.URL+"/v1/hw", nil, &body); code != http.StatusOK {
 			t.Fatalf("status %d", code)
 		}
-		if len(body.HW) != len(exp.Platforms()) {
-			t.Fatalf("hw = %+v, want %d entries", body.HW, len(exp.Platforms()))
+		if len(body.HW) != len(hw.Platforms()) {
+			t.Fatalf("hw = %+v, want %d entries", body.HW, len(hw.Platforms()))
 		}
-		for i, name := range exp.Platforms() {
+		for i, name := range hw.Platforms() {
 			info := body.HW[i]
 			if info.Name != name {
 				t.Errorf("hw[%d] = %q, want %q", i, info.Name, name)
@@ -292,6 +292,10 @@ func TestRegistryEndpoints(t *testing.T) {
 		{"unknown profile", map[string]any{"model": "resnet50", "hw": "edge",
 			"params": map[string]any{"profile": "huge"}}},
 		{"negative batch", map[string]any{"model": "resnet50", "batch": -1, "hw": "edge"}},
+		{"negative beta1", map[string]any{"model": "resnet50", "hw": "edge",
+			"params": map[string]any{"beta1": -5}}},
+		{"negative beta2", map[string]any{"model": "resnet50", "hw": "edge",
+			"params": map[string]any{"beta2": -1}}},
 	}
 	for _, tc := range badSubmits {
 		t.Run("400 "+tc.name, func(t *testing.T) {
@@ -315,6 +319,26 @@ func TestRegistryEndpoints(t *testing.T) {
 			t.Fatalf("status %d, want 404", code)
 		}
 	})
+}
+
+// TestOversizedBodies: job and sweep submits larger than MaxBodyBytes are
+// refused with 413 before the server buffers them whole, and a sweep spec
+// with a negative beta is a 400 like the jobs API's.
+func TestOversizedBodies(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	huge := map[string]any{"model": strings.Repeat("a", MaxBodyBytes)}
+	for _, path := range []string{"/v1/jobs", "/v1/sweeps"} {
+		var e struct {
+			Error string `json:"error"`
+		}
+		if code := doJSON(t, http.MethodPost, ts.URL+path, huge, &e); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s: status %d (%q), want 413", path, code, e.Error)
+		}
+	}
+	spec := map[string]any{"models": []string{"resnet50"}, "search": map[string]any{"beta1": -5}}
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/sweeps", spec, nil); code != http.StatusBadRequest {
+		t.Errorf("negative-beta sweep: status %d, want 400", code)
+	}
 }
 
 // TestSubmitWait exercises the synchronous ?wait=1 path.

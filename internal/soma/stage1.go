@@ -65,13 +65,12 @@ func (e *Explorer) RunStage1(ctx context.Context, budget int64, seed int64) (*co
 	pf := e.portfolio()
 	pf.OnImprove = e.improveHook("stage1")
 	pf.Journal = e.stageJournal("stage1")
-	best, bestCost, stats := sa.RunMovesPortfolioCtx[*core.Encoding](ctx, cfg, pf,
+	best, bestCost, stats := sa.RunPortfolio(ctx, cfg, pf,
 		func(int) sa.MoveState[*core.Encoding] {
 			// Encodings are value-like (mutateLFAKind clones before
 			// mutating), so every chain may start from the shared init; each
-			// adapter instance is still private to its chain. The rng draw
-			// order is exactly the historical clone interface's.
-			return &lfaMoves{e: e, cur: init, cost: costEnc}
+			// adapter instance is still private to its chain.
+			return &sa.CloneMoves[*core.Encoding]{Cur: init, Cost: costEnc, Neighbor: e.mutateLFAKind}
 		})
 	if err := ctx.Err(); err != nil {
 		return nil, StageResult{}, err
@@ -90,34 +89,6 @@ func (e *Explorer) RunStage1(ctx context.Context, budget int64, seed int64) (*co
 	e.notify(Progress{Stage: "stage1", Kind: "done", AllocIter: e.allocIter, Cost: c})
 	return best, StageResult{Metrics: m, Cost: c, Stats: stats}, nil
 }
-
-// lfaMoves adapts the stage-1 clone-per-candidate mutator to the move-aware
-// annealer, tagging each productive proposal with its operator kind for the
-// convergence journal. Its rng draw sequence is exactly the historical clone
-// interface's (the operator's draws, then the annealer's acceptance draw),
-// so fixed-seed results are byte-stable across the switch.
-type lfaMoves struct {
-	e         *Explorer
-	cur, cand *core.Encoding
-	cost      func(*core.Encoding) float64
-	kind      string
-}
-
-func (m *lfaMoves) InitCost() float64 { return m.cost(m.cur) }
-
-func (m *lfaMoves) Propose(rng *rand.Rand) (float64, bool) {
-	cand, kind, ok := m.e.mutateLFAKind(m.cur, rng)
-	if !ok {
-		return 0, false
-	}
-	m.cand, m.kind = cand, kind
-	return m.cost(cand), true
-}
-
-func (m *lfaMoves) Accept()                  { m.cur = m.cand }
-func (m *lfaMoves) Reject()                  {}
-func (m *lfaMoves) Snapshot() *core.Encoding { return m.cur }
-func (m *lfaMoves) MoveKind() string         { return m.kind }
 
 // mutateLFAKind applies one random LFA operator to a clone of enc, also
 // naming the operator drawn (the journal's per-kind accept/reject tallies).

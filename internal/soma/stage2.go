@@ -52,7 +52,7 @@ func (e *Explorer) RunStage2(ctx context.Context, sched *core.Schedule, seed int
 	pf.OnImprove = e.improveHook("stage2")
 	pf.Journal = e.stageJournal("stage2")
 	incTel := sim.NewIncTelemetry(e.Reg)
-	best, bestCost, stats := sa.RunMovesPortfolioCtx[*core.Schedule](ctx, cfg, pf,
+	best, bestCost, stats := sa.RunPortfolio(ctx, cfg, pf,
 		func(int) sa.MoveState[*core.Schedule] {
 			// Chains perturb their own schedule clone and incremental
 			// evaluator; the tile costs, size picker, evaluation cache

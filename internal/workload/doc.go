@@ -17,6 +17,7 @@
 // and reporting.
 //
 // A small library of built-in scenarios ships with the package (Builtin /
-// Builtins / BuiltinNames); the soma CLI's -scenario flag, exp.RunScenario
-// and the somad /v1/scenarios endpoint all resolve names through it.
+// Builtins / BuiltinNames); the soma CLI's -scenario flag, engine.Run's
+// scenario requests and the somad /v1/scenarios endpoint all resolve names
+// through it.
 package workload
